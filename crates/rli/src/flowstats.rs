@@ -25,9 +25,29 @@ pub struct FlowAccumulator {
     pub truth: StreamingStats,
     /// Optional streaming tail-quantile tracker over estimated delays
     /// (enabled via [`FlowTable::with_quantile`]; O(1) memory per flow).
-    pub est_q: Option<P2Quantile>,
-    /// Matching tracker over true delays.
-    pub truth_q: Option<P2Quantile>,
+    /// Heap-allocated only when quantile tracking is on, so a row without
+    /// it pays one null pointer instead of an inline tracker.
+    pub est_q: Option<Box<P2Quantile>>,
+    /// Matching tracker over true delays, allocated under the same rule.
+    pub truth_q: Option<Box<P2Quantile>>,
+}
+
+impl FlowAccumulator {
+    /// An empty accumulator, with both quantile trackers allocated iff
+    /// `quantile_p` is set.
+    fn tracking(quantile_p: Option<f64>) -> Self {
+        FlowAccumulator {
+            est_q: quantile_p.map(|p| Box::new(P2Quantile::new(p))),
+            truth_q: quantile_p.map(|p| Box::new(P2Quantile::new(p))),
+            ..FlowAccumulator::default()
+        }
+    }
+
+    /// Heap bytes one flow's boxed quantile trackers take under
+    /// `quantile_p`: both of them when tracking is on, none otherwise.
+    fn tracker_bytes(quantile_p: Option<f64>) -> usize {
+        quantile_p.map_or(0, |_| 2 * std::mem::size_of::<P2Quantile>())
+    }
 }
 
 /// Per-flow report row.
@@ -60,10 +80,13 @@ pub struct FlowReport {
 /// Aggregates per-packet estimates by flow key.
 ///
 /// Layout is a dense index map: the hash table holds only compact
-/// `key → u32` slots while the (large) accumulators live contiguously in a
-/// `Vec`. Hot-path `record` calls therefore probe small buckets and write
-/// one cache line, instead of probing ~300-byte buckets as the seed's
-/// direct `HashMap<FlowKey, FlowAccumulator>` did.
+/// `key → u32` slots while the accumulators live contiguously in a `Vec`
+/// of 112-byte `(key, accumulator)` rows (a 96-byte accumulator: two
+/// running-moment blocks plus two pointers to quantile trackers that are
+/// allocated only when quantile tracking is on). Hot-path `record` calls
+/// therefore probe small buckets and write one compact row, instead of
+/// probing buckets the size of a whole row as a direct
+/// `HashMap<FlowKey, FlowAccumulator>` would.
 ///
 /// Generic over the table's hash builder, defaulting to FxHash — the
 /// fastest choice for the simulated hot path. Instantiate as
@@ -106,15 +129,8 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     #[inline]
     pub fn record(&mut self, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
         let slot = *self.index.entry(flow).or_insert_with(|| {
-            let qp = self.quantile_p;
-            self.accs.push((
-                flow,
-                FlowAccumulator {
-                    est_q: qp.map(P2Quantile::new),
-                    truth_q: qp.map(P2Quantile::new),
-                    ..FlowAccumulator::default()
-                },
-            ));
+            self.accs
+                .push((flow, FlowAccumulator::tracking(self.quantile_p)));
             (self.accs.len() - 1) as u32
         });
         let acc = &mut self.accs[slot as usize].1;
@@ -287,13 +303,16 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     }
 
     /// Approximate heap footprint of this table in bytes (index capacity +
-    /// accumulator rows). Diagnostic only — used to compare plane state
-    /// layouts, not for allocation decisions.
+    /// accumulator rows + the boxed quantile trackers, when enabled).
+    /// Diagnostic only — used to compare plane state layouts, not for
+    /// allocation decisions.
     pub fn approx_bytes(&self) -> usize {
         let row = std::mem::size_of::<(FlowKey, FlowAccumulator)>();
         // Hashbrown stores key+value+1 control byte per slot.
         let slot = std::mem::size_of::<(FlowKey, u32)>() + 1;
-        self.accs.capacity() * row + self.index.capacity() * slot
+        self.accs.capacity() * row
+            + self.index.capacity() * slot
+            + self.accs.len() * FlowAccumulator::tracker_bytes(self.quantile_p)
     }
 }
 
@@ -318,11 +337,11 @@ struct ArenaTapMeta {
 /// A plane-wide arena of flow accumulators shared by every tap.
 ///
 /// The fleet-scale layout: instead of each tap owning a private
-/// [`FlowTable`] (a hash map plus a `Vec` of ~300-byte accumulator rows,
+/// [`FlowTable`] (a hash map plus a `Vec` of 112-byte accumulator rows,
 /// each with its own capacity slack), all taps share **one** contiguous
-/// entry store plus one `(tap, flow) → u32` handle map on the packed
-/// FxHash path. Memory then scales with *live flows across the plane*
-/// rather than `taps × per-table fixed cost`, and a point-in-time
+/// store of 120-byte entries plus one `(tap, flow) → u32` handle map on
+/// the packed FxHash path. Memory then scales with *live flows across the
+/// plane* rather than `taps × per-table fixed cost`, and a point-in-time
 /// snapshot query can walk one `Vec` instead of T tables.
 ///
 /// `record` performs the exact sequence of accumulator operations
@@ -367,16 +386,11 @@ impl FlowArena {
     pub fn record(&mut self, tap: u32, flow: FlowKey, est_ns: f64, truth_ns: Option<f64>) {
         let meta = &mut self.taps[tap as usize];
         let slot = *self.index.entry((tap, flow)).or_insert_with(|| {
-            let qp = meta.quantile_p;
             meta.flows += 1;
             self.entries.push(ArenaEntry {
                 tap,
                 flow,
-                acc: FlowAccumulator {
-                    est_q: qp.map(P2Quantile::new),
-                    truth_q: qp.map(P2Quantile::new),
-                    ..FlowAccumulator::default()
-                },
+                acc: FlowAccumulator::tracking(meta.quantile_p),
             });
             (self.entries.len() - 1) as u32
         });
@@ -409,14 +423,21 @@ impl FlowArena {
         self.entries.len()
     }
 
-    /// Approximate heap footprint in bytes: the shared handle map plus the
-    /// contiguous entry store. The per-tap metadata is `O(taps)` words.
+    /// Approximate heap footprint in bytes: the shared handle map, the
+    /// contiguous entry store and the boxed quantile trackers of taps that
+    /// enable them. The per-tap metadata is `O(taps)` words.
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<ArenaEntry>();
         let slot = std::mem::size_of::<((u32, FlowKey), u32)>() + 1;
+        let trackers: usize = self
+            .taps
+            .iter()
+            .map(|m| m.flows as usize * FlowAccumulator::tracker_bytes(m.quantile_p))
+            .sum();
         self.entries.capacity() * entry
             + self.index.capacity() * slot
             + self.taps.capacity() * std::mem::size_of::<ArenaTapMeta>()
+            + trackers
     }
 
     /// Release every flow owned by `tap` back to the arena: entries are
@@ -448,19 +469,26 @@ impl FlowArena {
     /// Tear the arena apart into one [`FlowTable`] per registered tap, rows
     /// in per-tap insertion order — each table identical to what the tap
     /// would have built privately.
+    ///
+    /// The handle map is freed before any row is copied, so it never
+    /// coexists with the per-tap rows and their rebuilt indexes.
     pub fn into_tables(self) -> Vec<FlowTable> {
-        let mut rows: Vec<Vec<(FlowKey, FlowAccumulator)>> = self
-            .taps
+        let FlowArena {
+            index,
+            entries,
+            taps,
+        } = self;
+        drop(index);
+        let mut rows: Vec<Vec<(FlowKey, FlowAccumulator)>> = taps
             .iter()
             .map(|m| Vec::with_capacity(m.flows as usize))
             .collect();
         // `entries` is globally insertion-ordered, so a stable single pass
         // partitions it into per-tap insertion order.
-        for e in self.entries {
+        for e in entries {
             rows[e.tap as usize].push((e.flow, e.acc));
         }
-        self.taps
-            .into_iter()
+        taps.into_iter()
             .zip(rows)
             .map(|(m, r)| FlowTable::from_rows(m.quantile_p, r, m.estimates))
             .collect()
@@ -584,6 +612,35 @@ mod tests {
         assert!((90.0..=100.0).contains(&tq), "true p90 {tq}");
         assert!(r.quantile_rel_err.unwrap() < 0.2);
         assert_eq!(t.quantile_relative_errors(1).len(), 1);
+
+        // The boxed trackers are part of the footprint: the same rows
+        // without quantile tracking must report fewer bytes, in a table
+        // and in an arena alike.
+        let mut plain: FlowTable = FlowTable::new();
+        let mut tracked_arena = FlowArena::new();
+        let mut plain_arena = FlowArena::new();
+        let tracked_tap = tracked_arena.register_tap(Some(0.9));
+        let plain_tap = plain_arena.register_tap(None);
+        for i in 1..=100 {
+            let v = i as f64;
+            plain.record(fk(1), v, Some(v + 5.0));
+            tracked_arena.record(tracked_tap, fk(1), v, Some(v + 5.0));
+            plain_arena.record(plain_tap, fk(1), v, Some(v + 5.0));
+        }
+        assert!(t.approx_bytes() > plain.approx_bytes());
+        assert!(tracked_arena.approx_bytes() > plain_arena.approx_bytes());
+    }
+
+    /// Every flow row pays for what it holds and nothing more: two
+    /// running-moment blocks plus two (null unless quantiles are on)
+    /// tracker pointers. A new field must not silently re-inflate it.
+    #[test]
+    fn accumulator_row_is_two_moments_and_two_pointers() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<FlowAccumulator>(),
+            2 * size_of::<StreamingStats>() + 2 * size_of::<usize>()
+        );
     }
 
     #[test]
