@@ -2,7 +2,7 @@
 //! registered scenarios by name.
 //!
 //! ```text
-//! experiments <command> [--threads N] [--shards N]
+//! experiments <command> [--threads N]
 //!
 //!   list        list the registered scenarios (for `run`)
 //!   run <name>  run one registered scenario through the shared SweepRunner
@@ -20,11 +20,8 @@
 //! ```
 //!
 //! `--threads N` sizes the sweep worker pool (default: `RLIR_THREADS`, else
-//! available parallelism); `--shards N` runs the fat-tree scenarios
-//! (`fattree`, `faults`, `incast`, `localize`, `demux`) on the
-//! pod-sharded engine (default:
-//! `RLIR_SHARDS`, else the sequential engine). Results are byte-identical
-//! for any thread or shard count. Scale via
+//! available parallelism). Results are byte-identical for any thread
+//! count. Scale via
 //! `RLIR_SCALE={quick,default,full}`, `RLIR_DURATION_MS`, `RLIR_SEEDS`,
 //! `RLIR_SEED`; output directory via `RLIR_RESULTS_DIR` (default
 //! `results/`). CSV series are written per curve.
@@ -37,10 +34,9 @@ use rlir_bench::{
 };
 use rlir_exec::SweepRunner;
 
-const HELP: &str = "experiments <list|run <name>|fig4a|fig4b|fig4c|fig5|placement|demux|interp|sync|baselines|quantiles|localize|all> [--threads N] [--shards N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--chaos-seed N] [--lenient]
+const HELP: &str = "experiments <list|run <name>|fig4a|fig4b|fig4c|fig5|placement|demux|interp|sync|baselines|quantiles|localize|all> [--threads N] [--trace <file>] [--entry-map <spec>] [--tenants w1,w2] [--chaos-seed N] [--lenient]
 Scale: RLIR_SCALE={quick,default,full} RLIR_DURATION_MS=<ms> RLIR_SEEDS=<n> RLIR_SEED=<n>
 Threads: --threads N (default RLIR_THREADS, else available parallelism)
-Shards: --shards N pod-sharded fat-tree engine (default RLIR_SHARDS, else sequential; byte-identical for any N)
 Replay: --trace <pcap> capture to stream through `run replay` (default: generated);
         --entry-map fixed:<node>|hash:<n0,n1,...> entry-node demux (tandem nodes are 0 and 1);
         --lenient skip-and-count pcap ingest (damaged records resynced, regressions clamped)
@@ -284,7 +280,6 @@ fn main() -> std::io::Result<()> {
     // Split `--threads N` out of the positional arguments.
     let mut positional: Vec<String> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut entry_map: Option<String> = None;
     let mut tenants: Option<(u64, u64)> = None;
@@ -335,7 +330,7 @@ fn main() -> std::io::Result<()> {
                     );
                     std::process::exit(2);
                 });
-                if let Err(e) = rlir_trace::EntryMap::parse(&spec) {
+                if let Err(e) = rlir::experiment::tandem_entry_map(&spec) {
                     eprintln!("--entry-map: {e}\n{HELP}");
                     std::process::exit(2);
                 }
@@ -350,17 +345,6 @@ fn main() -> std::io::Result<()> {
                         std::process::exit(2);
                     });
                 threads = Some(n);
-            }
-            "--shards" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards needs a positive integer\n{HELP}");
-                        std::process::exit(2);
-                    });
-                shards = Some(n);
             }
             "--help" | "-h" => {
                 println!("{HELP}");
@@ -395,20 +379,16 @@ fn main() -> std::io::Result<()> {
         return Ok(());
     }
 
-    let mut scale = Scale::from_env();
-    if shards.is_some() {
-        scale.shards = shards;
-    }
+    let scale = Scale::from_env();
     let out = OutputDir::from_env()?;
     eprintln!(
-        "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {} | shards {}",
+        "scale: accuracy {} | interference {} | fat-tree {} | seeds {} | base seed {} | threads {}",
         scale.accuracy_duration,
         scale.interference_duration,
         scale.fattree_duration,
         scale.seeds,
         scale.base_seed,
         runner.threads(),
-        scale.shards.map_or("seq".to_string(), |n| n.to_string()),
     );
 
     if cmd == "run" {

@@ -361,7 +361,6 @@ pub fn demux_ablation(scale: &Scale, runner: &SweepRunner) -> Vec<DemuxRow> {
         .into_iter()
         .map(|mode| {
             let mut cfg = FatTreeExpConfig::paper(scale.base_seed, scale.fattree_duration);
-            cfg.shards = scale.shards;
             cfg.demux = mode;
             cfg.anomaly = Some(CoreAnomaly {
                 core_ordinal: 0,

@@ -203,8 +203,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "incast",
         "NEW: synchronized burst fan-in on the fat-tree (per-flow accuracy vs fan-in)",
         |ctx, runner| {
-            let mut cfg = IncastConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = IncastConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_incast(&cfg, runner);
             println!("== incast: synchronized 20%-duty bursts into one destination ToR ==");
             println!(
@@ -251,8 +250,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "localize",
         "NEW: fabric-wide anomaly localization (random core/edge victim per point, accuracy + onset vs background load)",
         |ctx, runner| {
-            let mut cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = LocalizeConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let report = run_localize_full(&cfg, runner);
             println!(
                 "== localize: {} fault at one random core/edge switch per trial ==",
@@ -467,8 +465,7 @@ pub fn build_registry() -> ScenarioRegistry<RunContext> {
         "faults",
         "NEW: closed-loop robustness sweep — mid-run switch degradation, online detection, time-to-localize + false positives",
         |ctx, runner| {
-            let mut cfg = FaultsConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
-            cfg.base.shards = ctx.scale.shards;
+            let cfg = FaultsConfig::paper(ctx.scale.base_seed, ctx.scale.fattree_duration);
             let points = run_faults(&cfg, runner);
             println!(
                 "== faults: {} degradation switching on mid-run, detected online ==",
@@ -767,7 +764,6 @@ mod tests {
                 fattree_duration: rlir_net::time::SimDuration::from_millis(10),
                 seeds: 1,
                 base_seed: 42,
-                shards: None,
             },
             out: OutputDir::at(&dir).unwrap(),
             trace: None,

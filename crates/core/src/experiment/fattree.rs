@@ -33,45 +33,11 @@ use rlir_net::time::{SimDuration, SimTime};
 use rlir_net::{FlowKey, HashAlgo};
 use rlir_rli::{merge_epoch_series, EpochSnapshot, FlowTable, PolicyKind, RliSender};
 use rlir_sim::{
-    run_network_sharded, run_network_streamed_opts, FaultScript, HopSink, Network, NetworkRunStats,
-    NullSink, QueueConfig, RunOptions, ShardPlan, StopFlag, StreamedDelivery,
+    run_network_streamed_opts, FaultScript, NullSink, QueueConfig, RunOptions, StopFlag,
+    StreamedDelivery,
 };
 use rlir_topo::{FatTree, Role, TopoId};
 use serde::{Deserialize, Serialize};
-
-/// Dispatch one engine phase per [`FatTreeExpConfig::shards`]: the
-/// sequential engine when `None`, the pod-sharded engine (pods + core
-/// group from [`FatTree::pod_partition`]) when `Some(n)` — `n` is capped
-/// by the partition's group count and floored at 1.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    cfg: &FatTreeExpConfig,
-    tree: &FatTree,
-    network: Network,
-    fabric: &FatTreeFabric<'_>,
-    injections: Vec<(TopoId, Packet)>,
-    sink: &mut impl HopSink,
-    opts: RunOptions<'_>,
-    on_delivery: &mut impl FnMut(&StreamedDelivery<'_>),
-) -> NetworkRunStats {
-    match cfg.shards {
-        Some(n) => {
-            let plan = ShardPlan::new(tree.pod_partition());
-            run_network_sharded(
-                network,
-                fabric,
-                injections,
-                sink,
-                opts,
-                &plan,
-                n.max(1),
-                on_delivery,
-            )
-            .stats
-        }
-        None => run_network_streamed_opts(network, fabric, injections, sink, opts, on_delivery),
-    }
-}
 
 /// A deliberate latency fault injected at one core (for localization).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -143,15 +109,6 @@ pub struct FatTreeExpConfig {
     /// leaves only the per-tap caps.
     #[serde(default)]
     pub plane_budget: Option<usize>,
-    /// Shard count for the pod-sharded engine (`rlir_sim::shard`):
-    /// `Some(n)` routes both engine phases through
-    /// [`run_network_sharded`] over the fat-tree's pod partition —
-    /// byte-identical for every `n`, including `Some(1)`, which is the
-    /// identity baseline. `None` (the default) keeps the sequential
-    /// engine, whose same-time tie order differs; existing pinned digests
-    /// are untouched.
-    #[serde(default)]
-    pub shards: Option<usize>,
     /// Run the measurement plane in the pre-PR-8 per-tap state layout
     /// ([`StateLayout::PerTap`]: private flow table + reorder heap per
     /// tap) instead of the shared-arena default. Differential testing
@@ -192,7 +149,6 @@ impl FatTreeExpConfig {
             epoch: Some(SimDuration::from_millis(5)),
             buffered_oracle: false,
             plane_budget: None,
-            shards: None,
             per_tap_plane: false,
             tenant_split: None,
         }
@@ -467,9 +423,7 @@ pub fn run_fattree_faulted(
     // are sorted before use below, so the callback's processing order
     // (vs the buffered run's delivery-time order) is immaterial.
     let mut crossings: FxHashMap<TopoId, Vec<(SimTime, u32)>> = FxHashMap::default();
-    run_phase(
-        cfg,
-        &tree,
+    run_network_streamed_opts(
         build_network(&tree, cfg.queue, cfg.link_delay, &overrides),
         &fabric,
         injections.clone(),
@@ -478,7 +432,7 @@ pub fn run_fattree_faulted(
             faults,
             ..RunOptions::default()
         },
-        &mut |d| {
+        |d| {
             if !d.packet.is_regular() {
                 return;
             }
@@ -560,9 +514,7 @@ pub fn run_fattree_faulted(
     let (stats, detection) = match detector {
         Some(dc) => {
             let mut sink = ClosedLoopSink::new(&mut plane, *dc, stop.clone());
-            let stats = run_phase(
-                cfg,
-                &tree,
+            let stats = run_network_streamed_opts(
                 phase2_net,
                 &fabric,
                 injections,
@@ -573,9 +525,7 @@ pub fn run_fattree_faulted(
             (stats, sink.into_detection())
         }
         None => {
-            let stats = run_phase(
-                cfg,
-                &tree,
+            let stats = run_network_streamed_opts(
                 phase2_net,
                 &fabric,
                 injections,

@@ -65,7 +65,9 @@ pub use localize::{
 };
 pub use loss_sweep::{run_loss_sweep, run_loss_sweep_on, LossPoint, LossSweep, LossSweepConfig};
 pub use plane_scale::{run_plane_scale, PlaneScaleConfig, PlaneScaleOutcome, StateSample};
-pub use replay::{run_replay, synth_capture, RefInterleave, ReplayConfig, ReplayOutcome};
+pub use replay::{
+    run_replay, synth_capture, tandem_entry_map, RefInterleave, ReplayConfig, ReplayOutcome,
+};
 pub use two_hop::{
     run_two_hop, run_two_hop_on, run_two_hop_sweep, CrossSpec, TwoHopConfig, TwoHopOutcome,
     TwoHopPoint, TwoHopSweep,

@@ -54,7 +54,7 @@ pub struct ReplayConfig {
     pub trace_path: Option<PathBuf>,
     /// Entry-node demux spec, [`EntryMap::parse`] syntax. The tandem has
     /// nodes `0` (ingress) and `1` (bottleneck); mapped nodes must be one
-    /// of those.
+    /// of those ([`tandem_entry_map`] checks).
     pub entry_spec: String,
     /// Replay reorder window in nanoseconds (0 suffices for captures this
     /// workspace wrote; raise it for captures with timestamping jitter).
@@ -174,6 +174,20 @@ impl Forwarder for Line {
 
 const S0: NodeId = 0;
 const S1: NodeId = 1;
+
+/// Parse an entry-map spec for the replay tandem: [`EntryMap::parse`]
+/// syntax, with every mapped node one of the tandem's two switches. An
+/// unchecked node would only fail at its first injection, inside the
+/// engine.
+pub fn tandem_entry_map(spec: &str) -> Result<EntryMap, String> {
+    let entry = EntryMap::parse(spec)?;
+    match entry.nodes().iter().find(|&&n| n > S1) {
+        Some(n) => Err(format!(
+            "entry-map node {n} is not a tandem node (expected {S0} or {S1})"
+        )),
+        None => Ok(entry),
+    }
+}
 
 fn ref_key() -> FlowKey {
     FlowKey::udp(
@@ -435,7 +449,7 @@ impl Scenario for ReplayScenario<'_> {
 
     fn run_point(&self, _ctx: &PointContext, _point: &u64) -> ReplayOutcome {
         let cfg = self.cfg;
-        let entry = EntryMap::parse(&cfg.entry_spec)
+        let entry = tandem_entry_map(&cfg.entry_spec)
             .unwrap_or_else(|e| panic!("invalid entry-map spec: {e}"));
 
         let open_file = |path: &PathBuf| {
@@ -580,6 +594,19 @@ mod tests {
             fallback.capture_mean_ns.to_bits()
         );
         assert_eq!(from_file.ingest_identical, Some(true));
+    }
+
+    #[test]
+    fn entry_map_rejects_nodes_outside_the_tandem() {
+        assert_eq!(tandem_entry_map("fixed:1"), Ok(EntryMap::Fixed(S1)));
+        assert_eq!(
+            tandem_entry_map("hash:0,1"),
+            Ok(EntryMap::SrcHash(vec![S0, S1]))
+        );
+        assert!(tandem_entry_map("fixed:2").is_err());
+        assert!(tandem_entry_map("fixed:999").is_err());
+        assert!(tandem_entry_map("hash:0,500").is_err());
+        assert!(tandem_entry_map("nonsense").is_err());
     }
 
     #[test]

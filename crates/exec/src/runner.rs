@@ -1,12 +1,10 @@
 //! The shared parallel sweep executor.
 //!
-//! This module owns the sweep layer's only `std::thread::scope` call
-//! site. Every harness that previously hand-rolled a scoped worker pool
+//! This module owns the workspace's only `std::thread::scope` call site.
+//! Every harness that previously hand-rolled a scoped worker pool
 //! (`loss_sweep`, the two copies in `figures.rs`) now routes through
-//! [`SweepRunner::run`]. (The one other scoped pool in the workspace is
-//! orthogonal: `rlir_sim::shard` parallelises *within* one simulation,
-//! this runner *across* independent runs; [`shards_from_env`] reads its
-//! `RLIR_SHARDS` knob next to this module's `RLIR_THREADS`.)
+//! [`SweepRunner::run`]. Parallelism is *across* independent runs; each
+//! simulation runs on one thread.
 
 use crate::scenario::{PointContext, Scenario};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,18 +102,6 @@ impl Default for SweepRunner {
     fn default() -> Self {
         Self::from_env()
     }
-}
-
-/// Shard count for the in-run pod-sharded engine from the `RLIR_SHARDS`
-/// environment variable: `Some(n)` for a positive integer, `None` when
-/// unset or unparsable (scenarios then keep the sequential engine). The
-/// CLI's `--shards` flag overrides this, mirroring `--threads` vs
-/// [`SweepRunner::from_env`]'s `RLIR_THREADS`.
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("RLIR_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
 }
 
 #[cfg(test)]

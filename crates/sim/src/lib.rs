@@ -31,11 +31,6 @@
 //!   the cooperative [`StopFlag`] termination hook closed-loop detectors
 //!   raise; an empty [`FaultScript`] is byte-identical to a fault-free
 //!   run.
-//! * [`shard`] — the pod-sharded engine: conservative-lookahead windows
-//!   over a topology-supplied node partition, each shard owning its own
-//!   scheduler/slab/fault cursor, with cross-shard packets handed off at
-//!   window barriers and the merged stream byte-identical for any shard
-//!   count.
 //! * [`source`] — pull-based [`InjectionSource`]s: the engine's streaming
 //!   ingest path (O(source buffer), not O(run)), with the sorted-Vec
 //!   adapter kept byte-identical to the old collect-then-sort ingest as
@@ -52,7 +47,6 @@ pub mod network;
 pub mod pipeline;
 pub mod queue;
 pub mod sched;
-pub mod shard;
 pub mod slab;
 pub mod source;
 
@@ -72,6 +66,5 @@ pub use pipeline::{
 };
 pub use queue::{ClassCounters, FifoQueue, QueueConfig, Verdict};
 pub use sched::{CalendarQueue, EventSchedule, HeapSchedule};
-pub use shard::{run_network_sharded, run_network_sharded_source, ShardPlan, ShardRunStats};
 pub use slab::{FlightState, PacketSlab, SlotId};
 pub use source::{InjectionSource, SortedVecSource};

@@ -523,22 +523,6 @@ impl StreamedDelivery<'_> {
 
 /// Bounded aggregate of a streamed run — everything [`NetworkRun`] carries
 /// except the unbounded delivery buffer, plus the slab's own accounting.
-///
-/// # Per-shard vs fused semantics
-///
-/// The pod-sharded engine ([`crate::shard::run_network_sharded`]) returns
-/// one *fused* value of this struct. Every field a consumer can observe
-/// through the merged event stream is **shard-count invariant** — counted
-/// at emission, so `delivered`, `queue_drops`, `route_drops`, `injected`,
-/// `events`, `fault_drops` and the final `network` (each switch taken from
-/// the shard that owned it) are byte-identical for any shard count,
-/// including under a mid-run [`StopFlag`] truncation. The two capacity
-/// diagnostics are genuinely per-shard quantities and fuse differently:
-/// `peak_live_slots` is the **max** over the shards' peaks (each shard owns
-/// its own slab, so the fleet-wide bound is the largest single arena) and
-/// `hop_allocations` is the **sum** (every shard's allocations are real
-/// work done); both legitimately vary with the shard count and are
-/// excluded from the determinism digests.
 #[derive(Debug, Clone)]
 pub struct NetworkRunStats {
     /// Packets delivered (each was handed to the callback exactly once).
@@ -552,13 +536,10 @@ pub struct NetworkRunStats {
     /// Scheduler events processed (arrivals, including the injections).
     pub events: u64,
     /// High-water mark of concurrently in-flight packets — the engine's
-    /// memory bound, independent of [`Self::injected`]. Sharded runs fuse
-    /// this as the max of the per-shard peaks; see
-    /// [`crate::shard::ShardRunStats::merged`] for the rationale.
+    /// memory bound, independent of [`Self::injected`].
     pub peak_live_slots: usize,
     /// Hop-storage (re)allocations over the whole run; amortized O(max
-    /// in-flight) thanks to slot recycling. Sharded runs fuse this as the
-    /// sum over shards; see [`crate::shard::ShardRunStats::merged`].
+    /// in-flight) thanks to slot recycling.
     pub hop_allocations: u64,
     /// Packets dropped *because of* an injected fault (loss-burst deaths
     /// and dead-link blackholes) — a subset of the route drops. Zero for

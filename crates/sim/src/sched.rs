@@ -4,10 +4,11 @@
 //! (at, key, seq)` — with FIFO tie-breaking among equal timestamps (`seq` is
 //! the push order) refined by an optional caller-supplied **tie key** `K`.
 //! The default `K = ()` is zero-cost and reduces the order to the historical
-//! `(at, seq)`; the pod-sharded engine (`crate::shard`) instead keys entries
-//! by `(packet ordinal, hop progress)`, a *partition-independent* total
-//! order, so N shards draining their own queues reproduce exactly the
-//! one-shard drain. Two implementations share the contract:
+//! `(at, seq)`; the event engine uses it. The keyed user is the measurement
+//! plane's shared reorder wheel (`rlir::plane`), which keys observations by
+//! `(tie, packet id, tap)` so one wheel drains every tap's entries in
+//! exactly the order each tap's own heap would. Two implementations share
+//! the contract:
 //!
 //! * [`HeapSchedule`] — the original `BinaryHeap<Reverse<…>>`, kept as the
 //!   differential oracle and benchmark baseline.
@@ -72,12 +73,7 @@ pub trait EventSchedule<T, K: Copy + Ord + Default = ()> {
     /// the calendar queue may need to advance its cursor to find it). The
     /// slab engine merges the time-sorted injection stream against this,
     /// so pending injections never occupy scheduler or slab space.
-    fn peek_at(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-    /// Timestamp and key of the earliest entry without removing it — the
-    /// sharded engine's injection merge compares full keys, not just times.
-    fn peek_key(&mut self) -> Option<(SimTime, K)>;
+    fn peek_at(&mut self) -> Option<SimTime>;
     /// Number of scheduled entries.
     fn len(&self) -> usize;
     /// Whether the schedule is empty.
@@ -126,10 +122,8 @@ impl<T, K: Copy + Ord + Default> EventSchedule<T, K> for HeapSchedule<T, K> {
             .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key, e.item))
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, K)> {
-        self.heap
-            .peek()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key))
+    fn peek_at(&mut self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| SimTime::from_nanos(e.at))
     }
 
     fn len(&self) -> usize {
@@ -310,11 +304,11 @@ impl<T, K: Copy + Ord + Default> EventSchedule<T, K> for CalendarQueue<T, K> {
         Some((SimTime::from_nanos(e.at), e.key, e.item))
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, K)> {
+    fn peek_at(&mut self) -> Option<SimTime> {
         self.refill_active();
         self.active
             .peek()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.at), e.key))
+            .map(|Reverse(e)| SimTime::from_nanos(e.at))
     }
 
     fn len(&self) -> usize {

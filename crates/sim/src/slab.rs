@@ -109,27 +109,6 @@ impl PacketSlab {
         }
     }
 
-    /// Store a packet handed off from another shard of the pod-sharded
-    /// engine, seeding its hop record with the hops it accumulated there.
-    /// Same recycling discipline as [`PacketSlab::insert`]: the slice is
-    /// copied into the recycled vector, counting a hop allocation only when
-    /// the seed outgrows the recycled capacity.
-    pub fn insert_with_hops(
-        &mut self,
-        packet: Packet,
-        injected_node: NodeId,
-        injected_at: SimTime,
-        hops: &[Hop],
-    ) -> SlotId {
-        let slot = self.insert(packet, injected_node, injected_at);
-        let st = &mut self.slots[slot as usize];
-        if st.hops.capacity() < hops.len() {
-            self.hop_allocations += 1;
-        }
-        st.hops.extend_from_slice(hops);
-        slot
-    }
-
     /// The state of a live slot.
     #[inline]
     pub fn get(&self, slot: SlotId) -> &FlightState {

@@ -206,22 +206,6 @@ impl FatTree {
         2 * self.k * self.half()..self.nodes.len()
     }
 
-    /// Pod-partition group of every switch, indexed by topology id: ToRs
-    /// and aggregations of pod `p` map to group `p`, every core switch to
-    /// group `k` (one shared core group). This is the shard boundary the
-    /// pod-sharded engine uses — every ToR–Agg link stays inside a group,
-    /// so the only inter-group edges are Agg–Core links, whose fixed
-    /// latency bounds the conservative lookahead window.
-    pub fn pod_partition(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .map(|n| match n.role {
-                Role::Tor { pod, .. } | Role::Agg { pod, .. } => pod,
-                Role::Core { .. } => self.k,
-            })
-            .collect()
-    }
-
     /// The `/24` host block owned by a ToR.
     pub fn host_prefix(&self, tor: TopoId) -> Ipv4Prefix {
         match self.nodes[tor].role {

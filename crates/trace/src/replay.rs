@@ -81,6 +81,14 @@ impl EntryMap {
         ))
     }
 
+    /// Every node this map can send a record to.
+    pub fn nodes(&self) -> &[NodeId] {
+        match self {
+            EntryMap::Fixed(node) => std::slice::from_ref(node),
+            EntryMap::SrcHash(nodes) => nodes,
+        }
+    }
+
     /// The entry node for one record.
     pub fn node_for(&self, rec: &PcapRecord) -> NodeId {
         match self {
@@ -540,6 +548,8 @@ mod tests {
         assert!(EntryMap::parse("hash:").is_err());
         assert!(EntryMap::parse("nonsense").is_err());
         assert!(EntryMap::parse("hash:1,,2").is_err());
+        assert_eq!(EntryMap::Fixed(3).nodes(), &[3]);
+        assert_eq!(EntryMap::SrcHash(vec![0, 5]).nodes(), &[0, 5]);
     }
 
     #[test]

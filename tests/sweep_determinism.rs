@@ -3,9 +3,9 @@
 //! The `SweepRunner` contract: an N-thread run is **byte-identical** to a
 //! 1-thread run — point order is deterministic, every point's RNG seed is
 //! derived from the scenario seed (never from scheduling), and aggregation
-//! sees outcomes in point order. These tests pin that contract on the two
-//! scenario families whose points are seed-sensitive: the Fig. 5 loss
-//! sweep and the asymmetric-routing sweep. Floats are compared via
+//! sees outcomes in point order. These tests pin that contract on every
+//! seed-sensitive sweep: Fig. 5 loss, asymmetric routing, drop-aware,
+//! closed-loop faults, incast and localization. Floats are compared via
 //! `to_bits`, so even a ULP of scheduling-dependent drift fails.
 
 use rlir::experiment::{
@@ -164,63 +164,36 @@ fn faults_sweep_is_thread_count_invariant() {
 }
 
 #[test]
-fn incast_sweep_is_shard_count_invariant() {
-    // `--shards` now reaches the incast scenario; the pod-sharded keyed
-    // engine's 1-shard run is the identity baseline (the keyed tie order
-    // is the contract, not the sequential push order), so a 2-shard run
-    // must reproduce every point bit-for-bit.
+fn incast_sweep_is_thread_count_invariant() {
+    // Each fan-in point's synchronized bursts come from the derived point
+    // seed, so any worker count must reproduce every point bit-for-bit.
     let mut cfg = IncastConfig::paper(17, SimDuration::from_millis(10));
     cfg.base.policy = PolicyKind::Static { n: 30 };
     cfg.fan_in = vec![2, 4];
-    cfg.base.shards = Some(1);
-    let one = run_incast(&cfg, &SweepRunner::single());
-    cfg.base.shards = Some(2);
-    let two = run_incast(&cfg, &SweepRunner::single());
-    assert_eq!(one.len(), two.len());
-    for (x, y) in one.iter().zip(&two) {
-        assert_eq!(x.fan_in, y.fan_in);
-        assert_eq!(x.seg1_median_error.to_bits(), y.seg1_median_error.to_bits());
-        assert_eq!(x.seg2_median_error.to_bits(), y.seg2_median_error.to_bits());
-        assert_eq!(
-            x.seg2_true_delay_us.to_bits(),
-            y.seg2_true_delay_us.to_bits()
-        );
-        assert_eq!(x.demux_accuracy.to_bits(), y.demux_accuracy.to_bits());
-        assert_eq!(x.measured_delivered, y.measured_delivered);
-        assert_eq!(x.refs_emitted, y.refs_emitted);
-        assert_eq!(x.seg2_epochs.len(), y.seg2_epochs.len());
-        for (a, b) in x.seg2_epochs.iter().zip(&y.seg2_epochs) {
-            assert_eq!(a.estimated, b.estimated);
+    let one = run_incast(&cfg, &SweepRunner::new(1));
+    for threads in [2, 4] {
+        let many = run_incast(&cfg, &SweepRunner::new(threads));
+        assert_eq!(one.len(), many.len());
+        for (x, y) in one.iter().zip(&many) {
+            assert_eq!(x.fan_in, y.fan_in);
+            assert_eq!(x.seg1_median_error.to_bits(), y.seg1_median_error.to_bits());
+            assert_eq!(x.seg2_median_error.to_bits(), y.seg2_median_error.to_bits());
             assert_eq!(
-                a.est_mean().unwrap_or(f64::NAN).to_bits(),
-                b.est_mean().unwrap_or(f64::NAN).to_bits()
+                x.seg2_true_delay_us.to_bits(),
+                y.seg2_true_delay_us.to_bits()
             );
+            assert_eq!(x.demux_accuracy.to_bits(), y.demux_accuracy.to_bits());
+            assert_eq!(x.measured_delivered, y.measured_delivered);
+            assert_eq!(x.refs_emitted, y.refs_emitted);
+            assert_eq!(x.seg2_epochs.len(), y.seg2_epochs.len());
+            for (a, b) in x.seg2_epochs.iter().zip(&y.seg2_epochs) {
+                assert_eq!(a.estimated, b.estimated);
+                assert_eq!(
+                    a.est_mean().unwrap_or(f64::NAN).to_bits(),
+                    b.est_mean().unwrap_or(f64::NAN).to_bits()
+                );
+            }
         }
-    }
-}
-
-#[test]
-fn localize_sweep_is_shard_count_invariant() {
-    // Same contract for the localization sweep: victim draws, detector
-    // state and flagged segments all downstream of the engine stream, so
-    // shards ∈ {1, 2} must agree bit-for-bit.
-    let mut cfg = LocalizeConfig::paper(23, SimDuration::from_millis(10));
-    cfg.base.policy = PolicyKind::Static { n: 30 };
-    cfg.utilizations = vec![0.1];
-    cfg.trials = 2;
-    cfg.base.shards = Some(1);
-    let one = run_localize(&cfg, &SweepRunner::single());
-    cfg.base.shards = Some(2);
-    let two = run_localize(&cfg, &SweepRunner::single());
-    assert_eq!(one.len(), two.len());
-    for (x, y) in one.iter().zip(&two) {
-        assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
-        assert_eq!(
-            (x.trials, x.correct, x.flagged),
-            (y.trials, y.correct, y.flagged)
-        );
-        assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
-        assert_eq!(x.mean_severity.to_bits(), y.mean_severity.to_bits());
     }
 }
 
